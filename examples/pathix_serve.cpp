@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "online/joint_experiment.h"
 #include "serve/serve_driver.h"
 
 namespace {
@@ -152,13 +153,6 @@ int ServeLoop(const pathix::TraceSpec& s, int threads, pathix::SimDatabase& db,
   return ok ? 0 : 1;
 }
 
-pathix::ControllerOptions OptionsFor(const pathix::TraceSpec& s) {
-  pathix::ControllerOptions copts;
-  copts.orgs = s.options.orgs;
-  copts.physical_params = s.catalog.params();
-  return copts;
-}
-
 int ServeSingle(const pathix::TraceSpec& s, int threads,
                 std::size_t buffer_pages) {
   using namespace pathix;
@@ -167,7 +161,8 @@ int ServeSingle(const pathix::TraceSpec& s, int threads,
   driver.Populate();
   if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
   ReconfigurationController controller(&db, s.paths.front().path,
-                                       OptionsFor(s), s.paths.front().id);
+                                       TraceControllerOptions(s),
+                                       s.paths.front().id);
   return ServeLoop(s, threads, db, driver, controller);
 }
 
@@ -178,7 +173,7 @@ int ServeJoint(const pathix::TraceSpec& s, int threads,
   ServeDriver driver(&db, s, ServeOptions{threads});
   driver.Populate();
   if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
-  JointReconfigurationController controller(&db, OptionsFor(s));
+  JointReconfigurationController controller(&db, TraceControllerOptions(s));
   return ServeLoop(s, threads, db, driver, controller);
 }
 

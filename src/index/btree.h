@@ -42,11 +42,11 @@ namespace pathix {
 struct BatchCharge {
   std::set<PageId> reads;
   std::set<PageId> writes;
-  /// Overflow-chain pages, identified by (record key hash, page index):
-  /// within one batched operation a record's chain is buffered after the
-  /// first fetch ("a page will be fetched only once", Section 3.1).
-  std::set<std::pair<std::size_t, std::size_t>> chain_reads;
-  std::set<std::pair<std::size_t, std::size_t>> chain_writes;
+  /// Overflow-chain pages, identified by (record key, page index): within
+  /// one batched operation a record's chain is buffered after the first
+  /// fetch ("a page will be fetched only once", Section 3.1).
+  std::set<std::pair<Key, std::size_t>> chain_reads;
+  std::set<std::pair<Key, std::size_t>> chain_writes;
 };
 
 /// Posting entry of an index record: an object holding the record's key
@@ -248,7 +248,13 @@ class BTree {
 
   /// Visits every record in key order (uncounted).
   void ForEach(const std::function<void(const Record&)>& fn) const {
-    ForEachNode(root_.get(), fn);
+    ForEachNode(static_cast<const Node*>(root_.get()), fn);
+  }
+
+  /// Visits every record in key order for an in-place edit that keeps its
+  /// byte size, so no node needs to split (uncounted; builds).
+  void ForEachMutable(const std::function<void(Record*)>& fn) {
+    ForEachNode(root_.get(), [&fn](Record& r) { fn(&r); });
   }
 
   // ----------------------------------------------------------------- stats
@@ -368,19 +374,16 @@ class BTree {
     return &*it;
   }
 
-  static std::size_t RecordIdentity(const Record& rec) {
-    return std::hash<std::string>{}(rec.key().ToString());
-  }
-
   void CountChainReads(const Record& rec, std::size_t pages,
                        BatchCharge* batch = nullptr) {
     if (batch == nullptr) {
       pager_->NoteReads(pages);
       return;
     }
-    const std::size_t id = RecordIdentity(rec);
     for (std::size_t i = 0; i < pages; ++i) {
-      if (batch->chain_reads.insert({id, i}).second) pager_->NoteReads(1);
+      if (batch->chain_reads.emplace(rec.key(), i).second) {
+        pager_->NoteReads(1);
+      }
     }
   }
 
@@ -399,9 +402,8 @@ class BTree {
       for (std::size_t i = 0; i < touched; ++i) pager_->NoteWrite(leaf->page);
       return;
     }
-    const std::size_t id = RecordIdentity(rec);
     for (std::size_t i = 0; i < touched; ++i) {
-      if (batch->chain_writes.insert({id, i}).second) {
+      if (batch->chain_writes.emplace(rec.key(), i).second) {
         pager_->NoteWrite(leaf->page);
       }
     }
@@ -519,13 +521,17 @@ class BTree {
 
   // ---------------------------------------------------------------- stats
 
-  void ForEachNode(const Node* node,
-                   const std::function<void(const Record&)>& fn) const {
+  /// Applies \p fn to every record under \p node in key order; records
+  /// are const exactly when NodeT is.
+  template <typename NodeT, typename Fn>
+  static void ForEachNode(NodeT* node, const Fn& fn) {
     if (node->leaf) {
-      for (const Record& r : node->records) fn(r);
+      for (auto& r : node->records) fn(r);
       return;
     }
-    for (const auto& child : node->children) ForEachNode(child.get(), fn);
+    for (const auto& child : node->children) {
+      ForEachNode(static_cast<NodeT*>(child.get()), fn);
+    }
   }
 
   void CountLeafPages(const Node* node, std::size_t* pages) const {

@@ -1,6 +1,8 @@
 #include "index/nix_index.h"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 namespace pathix {
 
@@ -18,27 +20,60 @@ AuxRecord MakeAuxRecord(Oid oid) {
   return rec;
 }
 
-void AddOrBumpPosting(PostingRecord* rec, ClassId cls, Oid oid,
-                      std::int32_t numchild) {
-  for (Posting& p : rec->postings) {
-    if (p.oid == oid && p.cls == cls) {
-      p.numchild += numchild;
-      return;
-    }
-  }
-  rec->postings.push_back(Posting{cls, oid, numchild});
+/// Posting order within a primary record: by class, then oid. Each class's
+/// postings form one contiguous slice (Figure 3's per-class layout).
+bool PostingLess(const Posting& a, const Posting& b) {
+  return a.cls != b.cls ? a.cls < b.cls : a.oid < b.oid;
 }
 
-/// Bytes of the slice of \p rec holding the postings of \p classes, plus
-/// the record header/directory (what a partial read must fetch).
+/// Compares postings against a bare class id to find a class's slice.
+struct ByClass {
+  bool operator()(const Posting& p, ClassId cls) const { return p.cls < cls; }
+  bool operator()(ClassId cls, const Posting& p) const { return cls < p.cls; }
+};
+
+using PostingIt = std::vector<Posting>::const_iterator;
+
+/// The slice of \p rec holding the postings of class \p cls.
+std::pair<PostingIt, PostingIt> ClassSlice(const PostingRecord& rec,
+                                           ClassId cls) {
+  return std::equal_range(rec.postings.begin(), rec.postings.end(), cls,
+                          ByClass{});
+}
+
+/// The first posting not ordered before (cls, oid): the posting of that
+/// object when present, else the position where it belongs.
+std::vector<Posting>::iterator FindPosting(PostingRecord* rec, ClassId cls,
+                                           Oid oid) {
+  return std::lower_bound(rec->postings.begin(), rec->postings.end(),
+                          Posting{cls, oid, 0}, PostingLess);
+}
+
+bool IsPostingOf(const PostingRecord& rec, PostingIt it, ClassId cls,
+                 Oid oid) {
+  return it != rec.postings.end() && it->cls == cls && it->oid == oid;
+}
+
+void AddOrBumpPosting(PostingRecord* rec, ClassId cls, Oid oid,
+                      std::int32_t numchild) {
+  auto it = FindPosting(rec, cls, oid);
+  if (IsPostingOf(*rec, it, cls, oid)) {
+    it->numchild += numchild;
+    return;
+  }
+  rec->postings.insert(it, Posting{cls, oid, numchild});
+}
+
+/// Bytes of the slice of \p rec holding the postings of \p classes
+/// (distinct), plus the record header/directory (what a partial read must
+/// fetch).
 template <typename ClassContainer>
 std::size_t SliceBytes(const PostingRecord& rec,
                        const ClassContainer& classes) {
   std::size_t bytes = rec.key_value.bytes() + 16;
-  for (const Posting& p : rec.postings) {
-    if (std::find(classes.begin(), classes.end(), p.cls) != classes.end()) {
-      bytes += Posting::kBytes;
-    }
+  for (ClassId cls : classes) {
+    const auto [first, last] = ClassSlice(rec, cls);
+    bytes += static_cast<std::size_t>(last - first) * Posting::kBytes;
   }
   return bytes;
 }
@@ -169,6 +204,11 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
       }
     }
   }
+  // Postings were appended in scan order; one sort per record lays out the
+  // class slices (sorting keeps each record's size, so no node splits).
+  primary_.ForEachMutable([](PostingRecord* rec) {
+    std::sort(rec->postings.begin(), rec->postings.end(), PostingLess);
+  });
 }
 
 // --------------------------------------------------------------- probe
@@ -185,13 +225,13 @@ std::vector<Oid> NIXIndex::Probe(const std::vector<Key>& keys,
         [&](const PostingRecord& r) { return SliceBytes(r, target_classes); },
         &batch);
     if (rec == nullptr) continue;
-    for (const Posting& p : rec->postings) {
-      if (std::find(target_classes.begin(), target_classes.end(), p.cls) !=
-          target_classes.end()) {
-        oids.push_back(p.oid);
-      }
+    for (ClassId cls : target_classes) {
+      const auto [first, last] = ClassSlice(*rec, cls);
+      for (auto it = first; it != last; ++it) oids.push_back(it->oid);
     }
   }
+  // One class slice of one record is already sorted by oid and unique.
+  if (keys.size() == 1 && target_classes.size() == 1) return oids;
   std::sort(oids.begin(), oids.end());
   oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
   return oids;
@@ -286,15 +326,11 @@ void NIXIndex::OnDelete(const Object& obj, int level) {
       primary_.MutateWithTouch(
           key,
           [&](PostingRecord* rec) {
-            rec->postings.erase(
-                std::remove_if(rec->postings.begin(), rec->postings.end(),
-                               [&](const Posting& p) {
-                                 return p.oid == obj.oid;
-                               }),
-                rec->postings.end());
+            auto it = FindPosting(rec, cls, obj.oid);
+            if (IsPostingOf(*rec, it, cls, obj.oid)) rec->postings.erase(it);
           },
           [&](const PostingRecord& rec) {
-            return SlicePages(rec, std::vector<ClassId>{cls}, page_size);
+            return SlicePages(rec, std::array<ClassId, 1>{cls}, page_size);
           },
           &primary_op_batch);
     }
@@ -308,6 +344,9 @@ void NIXIndex::OnDelete(const Object& obj, int level) {
   }
   int frontier_level = level - 1;
   while (!frontier.empty() && frontier_level >= ctx_.range.start) {
+    // The parents are objects of this round's level: their postings lie in
+    // the slices of its hierarchy's classes.
+    const std::vector<ClassId> parent_classes = ctx_.hierarchy(frontier_level);
     // Group the decrements by key: one primary-record access per key per
     // round, as in the paper's step 3(a).
     std::map<Key, std::vector<std::pair<Oid, int>>> by_key;
@@ -323,17 +362,16 @@ void NIXIndex::OnDelete(const Object& obj, int level) {
           key,
           [&](PostingRecord* rec) {
             for (const auto& [parent, count] : decs) {
-              for (auto it = rec->postings.begin();
-                   it != rec->postings.end(); ++it) {
-                if (it->oid == parent) {
-                  touched_classes.insert(it->cls);
-                  it->numchild -= count;
-                  if (it->numchild <= 0) {
-                    rec->postings.erase(it);
-                    zeroed[parent].insert(key);
-                  }
-                  break;
+              for (ClassId cls : parent_classes) {
+                auto it = FindPosting(rec, cls, parent);
+                if (!IsPostingOf(*rec, it, cls, parent)) continue;
+                touched_classes.insert(cls);
+                it->numchild -= count;
+                if (it->numchild <= 0) {
+                  rec->postings.erase(it);
+                  zeroed[parent].insert(key);
                 }
+                break;
               }
             }
           },
@@ -402,10 +440,18 @@ Status NIXIndex::Validate() const {
   Status status = Status::OK();
   std::map<Key, std::set<Oid>> primary_members;
   primary_.ForEach([&](const PostingRecord& rec) {
+    for (std::size_t i = 1; status.ok() && i < rec.postings.size(); ++i) {
+      if (!PostingLess(rec.postings[i - 1], rec.postings[i])) {
+        status = Status::Internal(
+            "primary record postings not strictly ordered by (cls, oid): "
+            "key " + rec.key_value.ToString());
+      }
+    }
     for (const Posting& p : rec.postings) {
       primary_members[rec.key_value].insert(p.oid);
     }
   });
+  PATHIX_RETURN_IF_ERROR(status);
   aux_.ForEach([&](const AuxRecord& tuple) {
     if (!status.ok()) return;
     for (const Key& key : tuple.primary_keys) {

@@ -15,6 +15,12 @@
 /// every object reaching the key value. numchild counts the object's
 /// children that reach the value; it drives deletion propagation.
 ///
+/// Order invariant: a record's postings are strictly ordered by
+/// (cls, oid), so each class's postings form one contiguous slice (Figure
+/// 3's per-class layout, at no extra bytes). Probes, slice sizing and
+/// maintenance binary-search the slices they need instead of scanning the
+/// record; Validate() checks the invariant.
+///
 /// Auxiliary index: one 3-tuple per object of every scope class except the
 /// subpath root hierarchy — (oid, pointers to the primary records listing
 /// the object, list of aggregation parents).

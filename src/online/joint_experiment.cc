@@ -86,6 +86,14 @@ Status InstallAll(Instance* inst, const TraceSpec& spec,
 
 }  // namespace
 
+ControllerOptions TraceControllerOptions(const TraceSpec& spec,
+                                         ControllerOptions base) {
+  base.orgs = spec.options.orgs;
+  base.physical_params = spec.catalog.params();
+  base.storage_budget_bytes = spec.storage_budget_bytes;
+  return base;
+}
+
 Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages) {
@@ -101,10 +109,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
   }
 
   JointExperimentReport report;
-  ControllerOptions copts = options;
-  copts.orgs = spec.options.orgs;
-  copts.physical_params = spec.catalog.params();
-  copts.storage_budget_bytes = spec.storage_budget_bytes;
+  const ControllerOptions copts = TraceControllerOptions(spec, options);
 
   // ----------------------------------------------------------- online run
   {

@@ -86,6 +86,12 @@ struct JointExperimentReport {
   }
 };
 
+/// The controller options \p spec asks for: \p base with the spec's
+/// candidate organizations, physical parameters and storage budget (the
+/// budget binds the joint controller; the single-path one ignores it).
+ControllerOptions TraceControllerOptions(const TraceSpec& spec,
+                                         ControllerOptions base = {});
+
 /// Replays \p spec's multi-path trace online / joint-oracle / static and
 /// assembles the report. Deterministic for a fixed spec (including its
 /// seed). Works for single-path specs too (the degenerate case), but the

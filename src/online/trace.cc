@@ -111,18 +111,26 @@ void TraceOpExecutor::DoInsert(ClassId cls, PhaseReport* report) {
         values.push_back(Value::Str(EndingValue(value(*rng_))));
       }
     } else {
-      std::vector<Oid> pool;
+      // The pool is the referenced hierarchy's live oids concatenated in
+      // HierarchyOf order; a drawn index is resolved across the per-class
+      // vectors, so no pool is copied per insert.
+      std::vector<const std::vector<Oid>*> pool;
+      std::size_t pool_size = 0;
       for (ClassId next :
            db_->schema().HierarchyOf(tp.path.class_at(level + 1))) {
         const auto it = live_->find(next);
-        if (it != live_->end()) {
-          pool.insert(pool.end(), it->second.begin(), it->second.end());
+        if (it != live_->end() && !it->second.empty()) {
+          pool.push_back(&it->second);
+          pool_size += it->second.size();
         }
       }
-      if (!pool.empty()) {
-        std::uniform_int_distribution<std::size_t> ref(0, pool.size() - 1);
+      if (pool_size > 0) {
+        std::uniform_int_distribution<std::size_t> ref(0, pool_size - 1);
         for (int v = 0; v < nvals; ++v) {
-          values.push_back(Value::Ref(pool[ref(*rng_)]));
+          std::size_t i = ref(*rng_);
+          auto part = pool.begin();
+          for (; i >= (*part)->size(); ++part) i -= (*part)->size();
+          values.push_back(Value::Ref((**part)[i]));
         }
       }
     }

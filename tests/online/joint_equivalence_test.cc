@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "online/experiment.h"
 #include "online/joint_experiment.h"
 
@@ -94,6 +96,34 @@ TEST(JointEquivalenceTest, OnePathNoBudgetMatchesSinglePathController) {
     }
   }
   EXPECT_NEAR(single_charged, joint_charged, 1e-6);
+}
+
+TEST(TraceControllerOptionsTest, BudgetedSpecCarriesItsBudget) {
+  Result<TraceSpec> parsed = ParseTraceSpecFile(
+      std::string(PATHIX_SOURCE_DIR) +
+      "/examples/specs/vehicle_joint_trace.pix");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const TraceSpec& spec = parsed.value();
+  ASSERT_TRUE(spec.has_budget);
+
+  ControllerOptions base;
+  base.hysteresis = 2.5;
+  const ControllerOptions options = TraceControllerOptions(spec, base);
+  EXPECT_DOUBLE_EQ(options.storage_budget_bytes, 300000.0);
+  EXPECT_EQ(options.orgs, spec.options.orgs);
+  EXPECT_DOUBLE_EQ(options.physical_params.page_size,
+                   spec.catalog.params().page_size);
+  EXPECT_DOUBLE_EQ(options.hysteresis, 2.5);  // the rest of base survives
+}
+
+TEST(TraceControllerOptionsTest, UnbudgetedSpecLeavesBudgetOpen) {
+  Result<TraceSpec> parsed = ParseTraceSpecFile(
+      std::string(PATHIX_SOURCE_DIR) +
+      "/examples/specs/vehicle_drift_trace.pix");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_FALSE(parsed.value().has_budget);
+  EXPECT_TRUE(std::isinf(
+      TraceControllerOptions(parsed.value()).storage_budget_bytes));
 }
 
 }  // namespace
