@@ -1,4 +1,5 @@
-// Buffer-pool capacity sweep: hit rate and throughput vs pool size.
+// Buffer-pool capacity sweep: hit rate and throughput vs pool size, and
+// how far the paper's cold-access model sits from a warm system.
 //
 // One Example 5.1 database, one deterministic query stream (the Figure 7
 // mix), replayed identically under growing CLOCK pools. Capacity 0 is the
@@ -7,6 +8,13 @@
 // so the sweep isolates the pool: hit rate must grow monotonically until
 // the working set is resident, and the honest-accounting invariant
 // hits + reads == cold reads must hold at every size.
+//
+// The second table replays the same stream under four configurations: the
+// cost model (like the paper's) charges one page access per B+-tree node
+// visit, while real systems keep hot index levels resident. Its rows show
+// how far a warm pool moves each configuration's cost from the cold model,
+// and at which pool size the ordering the selection relies on stops
+// holding.
 
 #include <chrono>
 #include <cstdio>
@@ -31,7 +39,9 @@ struct SweepPoint {
   double hit_rate = 0;
   double ops_per_sec = 0;
   std::uint64_t reads = 0;
+  std::uint64_t writes = 0;
   std::uint64_t hits = 0;
+  int queries = 0;
   std::uint64_t evictions = 0;
 };
 
@@ -66,7 +76,9 @@ SweepPoint RunSweep(SimDatabase& db, const PaperSetup& setup,
   point.capacity = buffer_pages;
   const AccessStats stats = db.pager().stats();
   point.reads = stats.reads;
+  point.writes = stats.writes;
   point.hits = stats.buffer_hits;
+  point.queries = queries;
   point.evictions =
       db.pager().buffer_pool().GetStats().evictions - before.evictions;
   const double touches = static_cast<double>(stats.reads + stats.buffer_hits);
@@ -144,10 +156,51 @@ int main() {
   }
   json.Add("cold_reads", static_cast<double>(cold_reads));
   json.Add("monotone", failures == 0 ? 1 : 0);
-  json.Write();
   if (failures == 0) {
     std::cout << "\nhit rate monotone non-decreasing; every capacity "
                  "reconciled reads+hits == cold reads\n";
   }
+
+  // ------------------------------------------- ordering under warm pools
+  std::cout << "\n=== Configuration ordering: page accesses per query "
+               "(same stream) ===\n\n";
+  const IndexConfiguration configs[] = {
+      IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
+                          {Subpath{3, 4}, IndexOrg::kMX}}),
+      IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNIX}}),
+      IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}}),
+      IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMX}}),
+  };
+  const char* names[] = {"paper optimum (NIX+MX)", "whole-path NIX",
+                         "whole-path MIX", "whole-path MX"};
+  const char* slugs[] = {"paper_optimum", "whole_nix", "whole_mix",
+                         "whole_mx"};
+  const std::size_t ordering_caps[] = {0, 16, 128, 1024};
+  std::printf("  %-24s %10s %10s %10s %10s\n", "configuration", "cold",
+              "buf=16", "buf=128", "buf=1024");
+  for (int c = 0; c < 4; ++c) {
+    CheckOk(db.ReconfigureIndexes(configs[c]));
+    std::printf("  %-24s", names[c]);
+    for (const std::size_t cap : ordering_caps) {
+      const SweepPoint p = RunSweep(db, setup, cap);
+      const double per_query =
+          static_cast<double>(p.reads + p.writes) / p.queries;
+      std::printf(" %10.2f", per_query);
+      json.Add(std::string("order_") + slugs[c] + "_" +
+                   (cap == 0 ? std::string("cold")
+                             : "buf" + std::to_string(cap)),
+               per_query);
+    }
+    std::printf("\n");
+  }
+  db.pager().EnableBuffer(0);
+  std::cout << "\n(the cold column is what the Section 3 model predicts; a "
+               "small pool (16 pages)\n shrinks the constants but keeps the "
+               "ordering the selection algorithm relies on;\n once the index "
+               "working set is resident (128 pages here) only "
+               "record-overflow\n chains remain, which penalizes the "
+               "large-record NIX organizations — beyond the\n paper's cold "
+               "model)\n";
+  json.Write();
   return failures == 0 ? 0 : 1;
 }

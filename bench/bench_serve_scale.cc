@@ -143,7 +143,8 @@ int main() {
 
   std::printf(
       "\n(speedup is ops/sec vs the 1-thread run of the same phase; the\n"
-      " 1-thread run is byte-identical to the single-threaded replayer)\n");
+      " 1-thread run is the deterministic sequence the online experiments\n"
+      " replay)\n");
   json.Write();
   return 0;
 }

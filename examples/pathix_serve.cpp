@@ -2,16 +2,17 @@
 //
 // Feed it a trace spec (src/io/spec_parser.h) and a worker count; the serve
 // driver replays each phase's operation mix from N threads against one
-// SimDatabase while an online reconfiguration controller (single-path or
-// joint, chosen like pathix_online) adapts the index configuration
-// mid-stream — queries keep serving across every epoch swap.
+// SimDatabase while the online reconfiguration controller adapts the index
+// configuration mid-stream — queries keep serving across every epoch swap.
 //
 //   $ ./examples/pathix_serve --threads=8 ../examples/specs/vehicle_joint_trace.pix
 //   $ ./examples/pathix_serve                # embedded demo trace, 1 thread
 //
-// With --threads=1 and --buffer-pages=0 (the defaults) the op sequence is
-// byte-identical to the single-threaded TraceReplayer's (see
-// serve/serve_driver.h for the determinism contract).
+// With --threads=1 and --buffer-pages=0 (the defaults) the run is
+// deterministic: the op sequence the online experiments replay (see
+// serve/serve_driver.h for the determinism contract). --threads accepts
+// 1..256; anything else, or a value that is not a whole integer, is
+// rejected before any worker starts.
 //
 // --buffer-pages=N serves through a real buffer pool of N frames (CLOCK
 // eviction, pinned descent paths, dirty write-back), enabled after
@@ -29,10 +30,12 @@
 // sampled op (executed + deterministic no-ops == ops) — the no-lost-ops
 // invariant — and the controller stayed healthy; 1 otherwise.
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,6 +70,23 @@ phase search2 6000
 mix Submission 0.95 0.03 0.02
 )";
 
+// Largest accepted --threads: every worker is an OS thread, so a typo must
+// not be able to start millions of them.
+constexpr long kMaxThreads = 256;
+
+// Parses all of \p text as a decimal integer in [\p min, \p max].
+bool ParseInteger(const char* text, long min, long max, long* out) {
+  if (*text < '0' || *text > '9') return false;  // no sign, no whitespace
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 std::uint64_t ExecutedOps(const pathix::PhaseReport& p) {
   std::uint64_t executed = p.insert_ops + p.delete_ops + p.noop_ops;
   for (const auto& [id, n] : p.query_ops) executed += n;
@@ -85,12 +105,13 @@ void PrintPhase(const pathix::ServePhaseReport& r) {
               r.phase.reconfigurations);
 }
 
-// The serve loop, generic over the controller flavor (controllers hold
-// mutexes, so each flavor is constructed in place by its wrapper below).
-template <typename Controller>
-int ServeLoop(const pathix::TraceSpec& s, int threads, pathix::SimDatabase& db,
-              pathix::ServeDriver& driver, Controller& controller) {
+int Serve(const pathix::TraceSpec& s, int threads, std::size_t buffer_pages) {
   using namespace pathix;
+  SimDatabase db(s.schema, s.catalog.params());
+  ServeDriver driver(&db, s, ServeOptions{threads});
+  driver.Populate();
+  if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
+  JointReconfigurationController controller(&db, TraceControllerOptions(s));
   db.SetObserver(&controller);
 
   std::printf("serving %zu path(s) from %d worker thread(s)\n\n",
@@ -153,30 +174,6 @@ int ServeLoop(const pathix::TraceSpec& s, int threads, pathix::SimDatabase& db,
   return ok ? 0 : 1;
 }
 
-int ServeSingle(const pathix::TraceSpec& s, int threads,
-                std::size_t buffer_pages) {
-  using namespace pathix;
-  SimDatabase db(s.schema, s.catalog.params());
-  ServeDriver driver(&db, s, ServeOptions{threads});
-  driver.Populate();
-  if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
-  ReconfigurationController controller(&db, s.paths.front().path,
-                                       TraceControllerOptions(s),
-                                       s.paths.front().id);
-  return ServeLoop(s, threads, db, driver, controller);
-}
-
-int ServeJoint(const pathix::TraceSpec& s, int threads,
-               std::size_t buffer_pages) {
-  using namespace pathix;
-  SimDatabase db(s.schema, s.catalog.params());
-  ServeDriver driver(&db, s, ServeOptions{threads});
-  driver.Populate();
-  if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
-  JointReconfigurationController controller(&db, TraceControllerOptions(s));
-  return ServeLoop(s, threads, db, driver, controller);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -191,16 +188,20 @@ int main(int argc, char** argv) {
       const std::size_t n = std::string(prefix).size();
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    long parsed = 0;
     if (const char* value = flag_value("--threads=")) {
-      threads = std::atoi(value);
-      if (threads < 1) {
-        std::cerr << "error: --threads wants a positive integer\n";
+      if (!ParseInteger(value, 1, kMaxThreads, &parsed)) {
+        std::cerr << "error: --threads wants an integer in [1, " << kMaxThreads
+                  << "], got '" << value << "'\n";
         return 1;
       }
+      threads = static_cast<int>(parsed);
     } else if (const char* pages = flag_value("--buffer-pages=")) {
-      const long parsed = std::atol(pages);
-      if (parsed < 0) {
-        std::cerr << "error: --buffer-pages wants a non-negative integer\n";
+      if (!ParseInteger(pages, 0, std::numeric_limits<long>::max(),
+                        &parsed)) {
+        std::cerr << "error: --buffer-pages wants a non-negative integer, "
+                     "got '"
+                  << pages << "'\n";
         return 1;
       }
       buffer_pages = static_cast<std::size_t>(parsed);
@@ -229,9 +230,5 @@ int main(int argc, char** argv) {
                  "trace .pix file, e.g. examples/specs/"
                  "vehicle_drift_trace.pix)\n\n";
   }
-  // Same routing as pathix_online: multi-path or budgeted traces serve
-  // under the joint controller.
-  return s.paths.size() > 1 || s.has_budget
-             ? ServeJoint(s, threads, buffer_pages)
-             : ServeSingle(s, threads, buffer_pages);
+  return Serve(s, threads, buffer_pages);
 }

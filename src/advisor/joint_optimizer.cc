@@ -9,7 +9,6 @@ namespace pathix {
 
 namespace {
 
-constexpr double kCostEps = 1e-7;
 constexpr double kBytesEps = 1e-6;
 
 /// One enumerated configuration of one path, with everything the search

@@ -35,6 +35,12 @@
 
 namespace pathix {
 
+/// Tie tolerance on workload costs (pages per operation): the search keeps
+/// an incumbent unless a candidate beats it by more than this, and the
+/// online controller treats savings at or below it as none — they are
+/// floating-point noise between cost sums taken in different orders.
+inline constexpr double kCostEps = 1e-7;
+
 struct JointOptions {
   /// Maximum total bytes across the distinct chosen indexes; infinity (the
   /// default) disables the constraint.

@@ -177,9 +177,9 @@ class SimDatabase {
 
   // ------------------------------------------- single-path convenience API
   //
-  // The degenerate case the paper's offline pipeline and the single-path
-  // online controller run in: exactly one path, registered under
-  // kDefaultPathId. These fail/DCHECK when other named paths exist.
+  // The degenerate case the paper's offline pipeline runs in: exactly one
+  // path, registered under kDefaultPathId. These fail/DCHECK when other
+  // named paths exist.
 
   /// Registers \p path under kDefaultPathId and builds \p config on it.
   Status ConfigureIndexes(const Path& path, IndexConfiguration config);

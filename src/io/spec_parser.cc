@@ -535,7 +535,7 @@ Result<TraceSpec> ParseTraceSpec(const std::string& text) {
     trace.paths.push_back(std::move(tp));
   }
 
-  // The replayer turns mix entries into concrete operations; resolve every
+  // The phase driver turns mix entries into concrete operations; resolve every
   // raw line against the declared paths' scopes, keeping line numbers.
   for (TracePhase& phase : trace.phases) {
     phase.queries.assign(trace.paths.size(), {});

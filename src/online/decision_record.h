@@ -35,7 +35,7 @@ class Schema;
 /// One (path, class) row of the workload-estimate snapshot, rendered with
 /// names so the ledger is self-contained.
 struct DecisionLoadEntry {
-  std::string path;        ///< path id ("" for the single-path controller)
+  std::string path;        ///< path id
   std::string cls;         ///< class name
   double query = 0;        ///< alpha (normalized decayed frequency)
   double insert = 0;       ///< beta
@@ -54,11 +54,10 @@ struct DecisionCandidate {
   std::string path;        ///< the path this candidate configures
   std::string config;      ///< rendered (IndexConfiguration::ToString)
   /// Workload cost per operation with this candidate in place: the whole
-  /// assignment's shared-aware cost (joint) or the path cost (single).
+  /// assignment's shared-aware cost.
   double cost_per_op = 0;
   double cost_delta = 0;   ///< cost_per_op - the chosen assignment's cost
-  /// Total distinct-index storage with this candidate in place (joint
-  /// controller only; 0 for the single-path controller).
+  /// Total distinct-index storage with this candidate in place.
   double storage_bytes = 0;
   bool violates_budget = false;
   bool chosen = false;     ///< part of the winning assignment
@@ -120,8 +119,10 @@ struct DecisionHysteresis {
 struct DecisionRecord {
   std::uint64_t check_number = 0;  ///< 1-based, per controller
   std::uint64_t op_index = 0;      ///< operations observed at the check
-  std::string controller;          ///< "single" or "joint"
-  std::string phase;               ///< stamped by the replayer; "" otherwise
+  /// "joint" (older ledgers also carry "single", from a retired
+  /// single-path controller).
+  std::string controller;
+  std::string phase;  ///< stamped by the phase driver; "" otherwise
   std::string verdict;             ///< "install", "switch", or "hold"
   /// Hold verdicts only: "no_traffic", "already_optimal", "no_savings",
   /// "hysteresis", or "error".
@@ -146,7 +147,7 @@ void WriteDecisionRecord(obs::DecisionLog* log, const DecisionRecord& rec);
 /// every decision was gated under. Scalars only (no ControllerOptions
 /// dependency) so io/examples code can assemble it from any source.
 struct LedgerMeta {
-  std::string mode;  ///< "single" or "joint"
+  std::string mode;  ///< "joint" (older ledgers: also "single")
   std::string spec;  ///< spec file path, or a label for embedded traces
   double theta = 0;
   double horizon_ops = 0;

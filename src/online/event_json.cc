@@ -19,23 +19,6 @@ void WriteTransition(obs::JsonWriter* w, const char* key,
 }  // namespace
 
 void WriteEventLog(obs::JsonWriter* w,
-                   const std::vector<ReconfigurationEvent>& events) {
-  w->BeginArray();
-  for (const ReconfigurationEvent& ev : events) {
-    w->BeginObject();
-    w->Key("op_index").Value(ev.op_index);
-    w->Key("initial").Value(ev.initial);
-    w->Key("from").Value(ev.initial ? "(none)" : ev.from.ToString());
-    w->Key("to").Value(ev.to.ToString());
-    w->Key("predicted_savings_per_op").Value(ev.predicted_savings_per_op);
-    WriteTransition(w, "transition", ev.transition);
-    WriteTransition(w, "measured", ev.measured);
-    w->EndObject();
-  }
-  w->EndArray();
-}
-
-void WriteEventLog(obs::JsonWriter* w,
                    const std::vector<JointReconfigurationEvent>& events) {
   w->BeginArray();
   for (const JointReconfigurationEvent& ev : events) {

@@ -1,8 +1,10 @@
 #include "online/joint_controller.h"
 
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "costmodel/subpath_cost.h"
@@ -10,6 +12,53 @@
 #include "obs/trace.h"
 
 namespace pathix {
+
+bool ScopedAnalyzer::Refresh(const SimDatabase& db,
+                             const std::vector<const Path*>& paths,
+                             const ControllerOptions& options) {
+  // The classes in scope, with their live counts.
+  std::set<ClassId> scope;
+  for (const Path* path : paths) {
+    for (int l = 1; l <= path->length(); ++l) {
+      for (ClassId cls : db.schema().HierarchyOf(path->class_at(l))) {
+        scope.insert(cls);
+      }
+    }
+  }
+
+  std::set<ClassId> drifted;
+  for (ClassId cls : scope) {
+    const double live = static_cast<double>(db.store().LiveCount(cls));
+    if (!has_catalog_) {
+      drifted.insert(cls);  // first collection covers everything
+      continue;
+    }
+    const auto it = live_at_collection_.find(cls);
+    const double at = it == live_at_collection_.end() ? 0 : it->second;
+    if (std::abs(live - at) >
+        options.stats_refresh_fraction * std::max(1.0, at)) {
+      drifted.insert(cls);
+    }
+  }
+  if (drifted.empty()) return false;
+
+  if (!has_catalog_) {
+    PhysicalParams params = options.physical_params;
+    params.page_size = static_cast<double>(db.pager().page_size());
+    catalog_ = Catalog(params);
+    has_catalog_ = true;
+  }
+  std::set<std::pair<ClassId, std::string>> collected;
+  for (const Path* path : paths) {
+    class_collections_ += static_cast<std::uint64_t>(RefreshStatistics(
+        db.store(), db.schema(), *path, drifted, &catalog_, &collected));
+  }
+  for (ClassId cls : drifted) {
+    live_at_collection_[cls] = static_cast<double>(db.store().LiveCount(cls));
+  }
+  ++refreshes_;
+  return true;
+}
 
 JointReconfigurationController::JointReconfigurationController(
     SimDatabase* db, ControllerOptions options)
@@ -38,9 +87,13 @@ void JointReconfigurationController::OnOperation(const DbOpEvent& ev) {
   if (dormant_.load(std::memory_order_relaxed)) return;
   const std::uint64_t ops = monitor_.ops_observed();
   if (ops < options_.warmup_ops) return;
-  // Same arbitration as ReconfigurationController: lock-free hint, then a
-  // non-blocking claim — one thread checks, the rest keep serving.
+  // Lock-free fast path: while the op count is below the published next
+  // check, no thread even attempts the lock. The hint lags a concurrent
+  // Reschedule harmlessly — stale readers fall through to the TryLock and
+  // lose it.
   if (ops < next_check_hint_.load(std::memory_order_relaxed)) return;
+  // A due check is claimed by exactly one thread; the others skip past
+  // without blocking (the claimant is checking on everyone's behalf).
   if (!check_mu_.TryLock()) return;
   if (status_.ok() && cadence_.Due(ops)) {
     cadence_.Reschedule(ops, Check());
@@ -271,7 +324,10 @@ bool JointReconfigurationController::Check() {
   hyst.current_is_measured_naive = !any_configured;
   hyst.best_cost_per_op = joint.value().total_cost;
   hyst.savings_per_op = savings;
-  if (savings <= 0) return hold("no_savings");
+  // Savings within the solver's tie tolerance are summation-order noise: a
+  // free (zero-transition) switch would otherwise commit on them and flip
+  // between cost-equal assignments.
+  if (savings <= kCostEps) return hold("no_savings");
 
   const TransitionCost transition =
       EstimateJointTransitionCost(transitions, db_->store());

@@ -1,9 +1,11 @@
 #include "online/joint_experiment.h"
 
+#include <map>
 #include <set>
 #include <utility>
 
 #include "exec/analyze.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 
@@ -14,32 +16,14 @@ namespace {
 /// *after* population, so every replay starts from an identically cold pool.
 struct Instance {
   explicit Instance(const TraceSpec& spec, std::size_t buffer_pages = 0)
-      : db(spec.schema, spec.catalog.params()), replayer(&db, spec) {
-    replayer.Populate();
+      : db(spec.schema, spec.catalog.params()),
+        driver(&db, spec, ServeOptions{1}) {
+    driver.Populate();
     if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
   }
   SimDatabase db;
-  TraceReplayer replayer;
+  ServeDriver driver;
 };
-
-/// Statistics exactly as the joint controller's scoped ANALYZE collects
-/// them on first refresh (everything in every path's scope, shared
-/// (class, attribute) pairs scanned once), so oracle and static solves are
-/// apples to apples with the online run.
-Catalog CollectWorkloadStatistics(const SimDatabase& db, const TraceSpec& spec) {
-  PhysicalParams params = spec.catalog.params();
-  params.page_size = static_cast<double>(db.pager().page_size());
-  Catalog catalog(params);
-  std::set<std::pair<ClassId, std::string>> collected;
-  for (const TracePath& tp : spec.paths) {
-    std::set<ClassId> scope;
-    const std::vector<ClassId> scope_vec = tp.path.Scope(db.schema());
-    scope.insert(scope_vec.begin(), scope_vec.end());
-    RefreshStatistics(db.store(), db.schema(), tp.path, scope, &catalog,
-                      &collected);
-  }
-  return catalog;
-}
 
 /// The joint optimum for the given per-path loads under the spec's budget,
 /// on \p catalog (live statistics of the database the replay runs on).
@@ -86,6 +70,73 @@ Status InstallAll(Instance* inst, const TraceSpec& spec,
 
 }  // namespace
 
+LoadDistribution TraceAverageMix(const TraceSpec& spec,
+                                 std::size_t path_index) {
+  std::map<ClassId, OpLoad> acc;
+  double total_ops = 0;
+  for (const TracePhase& phase : spec.phases) {
+    double phase_total = 0;
+    for (const auto& per_path : phase.queries) {
+      for (const auto& [cls, weight] : per_path) {
+        (void)cls;
+        phase_total += weight;
+      }
+    }
+    for (const auto& [cls, upd] : phase.updates) {
+      (void)cls;
+      phase_total += upd.insert + upd.del;
+    }
+    if (phase_total <= 0) continue;
+    const double ops = static_cast<double>(phase.ops);
+    for (const auto& [cls, l] : phase.mixes[path_index].entries()) {
+      OpLoad& a = acc[cls];
+      a.query += l.query / phase_total * ops;
+      a.insert += l.insert / phase_total * ops;
+      a.del += l.del / phase_total * ops;
+    }
+    total_ops += ops;
+  }
+  LoadDistribution avg;
+  if (total_ops <= 0) return avg;
+  for (const auto& [cls, a] : acc) {
+    avg.Set(cls, a.query / total_ops, a.insert / total_ops,
+            a.del / total_ops);
+  }
+  return avg;
+}
+
+Catalog CollectWorkloadStatistics(const SimDatabase& db,
+                                  const TraceSpec& spec) {
+  PhysicalParams params = spec.catalog.params();
+  params.page_size = static_cast<double>(db.pager().page_size());
+  Catalog catalog(params);
+  std::set<std::pair<ClassId, std::string>> collected;
+  for (const TracePath& tp : spec.paths) {
+    std::set<ClassId> scope;
+    const std::vector<ClassId> scope_vec = tp.path.Scope(db.schema());
+    scope.insert(scope_vec.begin(), scope_vec.end());
+    RefreshStatistics(db.store(), db.schema(), tp.path, scope, &catalog,
+                      &collected);
+  }
+  return catalog;
+}
+
+Result<OptimizeResult> OfflineOptimum(const SimDatabase& db, const Path& path,
+                                      const std::vector<IndexOrg>& orgs,
+                                      const LoadDistribution& load,
+                                      const PhysicalParams& physical_params) {
+  // Statistics exactly as the controller's ANALYZE collects them, so the
+  // convergence comparison is apples to apples.
+  PhysicalParams params = physical_params;
+  params.page_size = static_cast<double>(db.pager().page_size());
+  const Catalog catalog =
+      CollectStatistics(db.store(), db.schema(), path, params);
+  Result<PathContext> ctx =
+      PathContext::Build(db.schema(), path, catalog, load);
+  if (!ctx.ok()) return ctx.status();
+  return SelectDP(CostMatrix::Build(ctx.value(), orgs));
+}
+
 ControllerOptions TraceControllerOptions(const TraceSpec& spec,
                                          ControllerOptions base) {
   base.orgs = spec.options.orgs;
@@ -120,7 +171,8 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
     report.online.label = "online-joint";
     report.online.phases.reserve(spec.phases.size());
     for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-      report.online.phases.push_back(inst.replayer.RunPhase(i, &controller));
+      report.online.phases.push_back(
+          inst.driver.RunPhase(i, &controller).phase);
       controller.MirrorMetrics();
       report.online_phase_metrics.push_back(inst.db.SnapshotMetrics());
     }
@@ -144,8 +196,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
       if (!best.ok()) return best.status();
       PATHIX_RETURN_IF_ERROR(InstallAll(&inst, spec, best.value()));
       report.oracle_configs.push_back(best.value());
-      report.oracle.phases.push_back(inst.replayer.RunPhase(
-          i, static_cast<JointReconfigurationController*>(nullptr)));
+      report.oracle.phases.push_back(inst.driver.RunPhase(i).phase);
     }
   }
 
@@ -210,8 +261,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
       PATHIX_RETURN_IF_ERROR(InstallAll(&inst, spec, c.configs));
       c.run.label = "static:" + c.label;
       for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-        c.run.phases.push_back(inst.replayer.RunPhase(
-            i, static_cast<JointReconfigurationController*>(nullptr)));
+        c.run.phases.push_back(inst.driver.RunPhase(i).phase);
       }
       report.statics.push_back(std::move(c));
     }

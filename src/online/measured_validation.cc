@@ -1,14 +1,12 @@
 #include "online/measured_validation.h"
 
 #include <map>
-#include <set>
 #include <utility>
 
 #include "core/structural_key.h"
 #include "costmodel/subpath_cost.h"
-#include "exec/analyze.h"
-#include "online/experiment.h"
 #include "online/joint_experiment.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 
@@ -31,24 +29,6 @@ class OpCounter : public DbOpObserver {
  private:
   std::map<PathId, std::uint64_t> query_ops_;
 };
-
-/// Statistics exactly as the controllers' scoped ANALYZE collects them
-/// (everything in every path's scope, shared (class, attribute) pairs
-/// scanned once) on the live store.
-Catalog CollectStats(const SimDatabase& db, const TraceSpec& spec) {
-  PhysicalParams params = spec.catalog.params();
-  params.page_size = static_cast<double>(db.pager().page_size());
-  Catalog catalog(params);
-  std::set<std::pair<ClassId, std::string>> collected;
-  for (const TracePath& tp : spec.paths) {
-    std::set<ClassId> scope;
-    const std::vector<ClassId> scope_vec = tp.path.Scope(db.schema());
-    scope.insert(scope_vec.begin(), scope_vec.end());
-    RefreshStatistics(db.store(), db.schema(), tp.path, scope, &catalog,
-                      &collected);
-  }
-  return catalog;
-}
 
 /// Sum of every weight of the phase's mix (all paths' queries plus the
 /// updates): the normalizer turning weighted model costs into pages per
@@ -84,15 +64,15 @@ Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
   }
 
   SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
+  ServeDriver driver(&db, spec, ServeOptions{1});
+  driver.Populate();
 
   // The fixed configuration under replay: the joint optimum of the
   // ops-weighted average mixes (under the spec's budget) — the assignment a
   // one-shot offline advisor would install. The catalog doubles as phase
   // 0's statistics (index builds do not touch the store).
   MeasuredVsModeledReport report;
-  Catalog catalog = CollectStats(db, spec);
+  Catalog catalog = CollectWorkloadStatistics(db, spec);
   {
     std::vector<PathWorkload> workloads;
     workloads.reserve(spec.paths.size());
@@ -134,7 +114,7 @@ Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
     // the phase (the same live-ANALYZE view a controller would solve on;
     // phase 0 reuses the selection catalog — nothing has mutated the store
     // since).
-    if (i > 0) catalog = CollectStats(db, spec);
+    if (i > 0) catalog = CollectWorkloadStatistics(db, spec);
     std::vector<double> modeled_query(spec.paths.size(), 0);
     double modeled_total = 0;
     std::map<StructuralKey, double> placed_maintain;
@@ -165,8 +145,7 @@ Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
     // The measured side: scoped tallies over the phase's replay.
     db.pager().ResetTallies();
     counter.Reset();
-    const PhaseReport measured = replayer.RunPhase(
-        i, static_cast<JointReconfigurationController*>(nullptr));
+    const PhaseReport measured = driver.RunPhase(i).phase;
 
     const double ops = static_cast<double>(phase.ops);
     MeasuredVsModeledPhase totals;

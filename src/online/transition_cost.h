@@ -61,7 +61,7 @@ TransitionCost EstimateTransitionCost(const PathContext& ctx,
 /// priced from their actual physical pages), scan/write come from the
 /// pager-measured build I/O of the parts the registry actually built during
 /// the commit (PhysicalPartRegistry::cumulative_build_io delta). The
-/// controllers gate on the estimate — the build has not happened yet when
+/// controller gates on the estimate — the build has not happened yet when
 /// the decision is made — and record this next to it so every switch is a
 /// modeled-vs-measured data point.
 inline TransitionCost MeasuredTransitionCost(const TransitionCost& modeled,

@@ -71,24 +71,6 @@ double WorkloadMonitor::DecayedTotalLocked() const {
   return total;
 }
 
-LoadDistribution WorkloadMonitor::EstimatedLoad() const {
-  ReaderMutexLock lock(&mu_);
-  LoadDistribution load;
-  const double total = DecayedTotalLocked();
-  if (total <= 0) return load;
-  std::unordered_map<ClassId, OpLoad> merged;
-  for (const auto& [path, by_class] : queries_) {
-    (void)path;
-    for (const auto& [cls, e] : by_class) merged[cls].query += Folded(e);
-  }
-  for (const auto& [cls, e] : inserts_) merged[cls].insert += Folded(e);
-  for (const auto& [cls, e] : deletes_) merged[cls].del += Folded(e);
-  for (const auto& [cls, l] : merged) {
-    load.Set(cls, l.query / total, l.insert / total, l.del / total);
-  }
-  return load;
-}
-
 LoadDistribution WorkloadMonitor::EstimatedLoadFor(
     const PathId& path, const std::set<ClassId>& scope) const {
   ReaderMutexLock lock(&mu_);
@@ -118,18 +100,6 @@ double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp(const PathId& path) const {
   if (total <= 0) return 0;
   const auto it = naive_pages_.find(path);
   return it == naive_pages_.end() ? 0 : Folded(it->second) / total;
-}
-
-double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp() const {
-  ReaderMutexLock lock(&mu_);
-  const double total = DecayedTotalLocked();
-  if (total <= 0) return 0;
-  double pages = 0;
-  for (const auto& [path, e] : naive_pages_) {
-    (void)path;
-    pages += Folded(e);
-  }
-  return pages / total;
 }
 
 void WorkloadMonitor::ExportMetrics(obs::MetricsRegistry* registry) const {

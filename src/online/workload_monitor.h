@@ -57,11 +57,6 @@ class WorkloadMonitor {
     Observe({kind, cls, {}, false, {}});
   }
 
-  /// The all-paths estimate, normalized so all frequencies sum to 1 — the
-  /// single-path controller's view (every query, whatever path it names,
-  /// plus every update). Empty (all-zero) until the first observation.
-  LoadDistribution EstimatedLoad() const EXCLUDES(mu_);
-
   /// The estimate for one path of a workload: that path's query
   /// frequencies, plus the update frequencies of the classes in \p scope.
   /// Normalized by the same shared total as every other path's estimate.
@@ -75,9 +70,6 @@ class WorkloadMonitor {
   /// comparable to the cost model's expected pages per operation. Zero
   /// until a naive query on the path has been observed.
   double MeasuredNaiveQueryPagesPerOp(const PathId& path) const EXCLUDES(mu_);
-
-  /// The all-paths aggregate (the single-path controller's view).
-  double MeasuredNaiveQueryPagesPerOp() const EXCLUDES(mu_);
 
   /// Decayed total weight across all paths, classes and kinds.
   double DecayedTotal() const EXCLUDES(mu_);

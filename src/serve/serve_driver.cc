@@ -1,5 +1,6 @@
 #include "serve/serve_driver.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -30,8 +31,8 @@ ServeDriver::ServeDriver(SimDatabase* db, const TraceSpec& spec,
       spec_(&spec),
       threads_(options.threads > 0 ? options.threads : 1) {
   rngs_.reserve(static_cast<std::size_t>(threads_));
-  // Worker 0 is the replayer's stream, bit for bit; the other workers mix
-  // the thread id in with the golden-ratio constant so nearby seeds do not
+  // Worker 0 draws from the spec's seed itself; the other workers mix the
+  // thread id in with the golden-ratio constant so nearby seeds do not
   // collide across streams.
   rngs_.emplace_back(spec.seed);
   for (int t = 1; t < threads_; ++t) {
@@ -59,7 +60,7 @@ void ServeDriver::Populate() {
   std::map<ClassId, std::vector<Oid>> live = gen.Populate(db_, paths, specs);
 
   // Round-robin stripe: oid i of a class lands in shard i % N, so with one
-  // worker shard 0 *is* the replayer's pool, in the same order.
+  // worker shard 0 is the whole population, in generation order.
   for (auto& shard : shards_) shard.clear();
   const auto n = static_cast<std::size_t>(threads_);
   for (auto& [cls, oids] : live) {
@@ -78,6 +79,42 @@ std::map<ClassId, std::vector<Oid>> ServeDriver::LiveMerged() const {
     }
   }
   return merged;
+}
+
+ServePhaseReport ServeDriver::RunPhase(
+    std::size_t phase_index, JointReconfigurationController* controller) {
+  if (controller == nullptr) return RunPhaseOps(phase_index);
+  const double charged_before = controller->transition_pages_charged();
+  const double measured_before =
+      controller->measured_transition_pages_charged();
+  // Committed counts, not events().size(): the retained log is bounded
+  // (ControllerOptions::max_event_log) and may evict.
+  const std::uint64_t events_before = controller->events_committed();
+  const std::uint64_t decisions_before = controller->decisions_committed();
+  ServePhaseReport out = RunPhaseOps(phase_index);
+  PhaseReport& report = out.phase;
+  report.transition_pages =
+      controller->transition_pages_charged() - charged_before;
+  report.measured_transition_pages =
+      controller->measured_transition_pages_charged() - measured_before;
+  report.reconfigurations =
+      static_cast<int>(controller->events_committed() - events_before);
+  // The phase's slice of the decision ledger, stamped with the phase name.
+  // What the bounded ledger still retains is the newest suffix; anything
+  // older than its window is counted but not copied.
+  report.decisions_captured =
+      controller->decisions_committed() - decisions_before;
+  const std::vector<DecisionRecord>& ledger = controller->decisions();
+  const std::uint64_t retained_start =
+      controller->decisions_committed() -
+      static_cast<std::uint64_t>(ledger.size());
+  const std::uint64_t slice_start = std::max(decisions_before, retained_start);
+  for (std::size_t i = static_cast<std::size_t>(slice_start - retained_start);
+       i < ledger.size(); ++i) {
+    report.decisions.push_back(ledger[i]);
+    report.decisions.back().phase = report.name;
+  }
+  return out;
 }
 
 ServePhaseReport ServeDriver::RunPhaseOps(std::size_t phase_index) {
@@ -108,9 +145,9 @@ ServePhaseReport ServeDriver::RunPhaseOps(std::size_t phase_index) {
   const AccessProbe probe(db_->pager());
   const SteadyClock::time_point phase_start = SteadyClock::now();
 
-  // The op loop is the replayer's, per worker: own distribution object, own
-  // RNG stream, own pool shard, own tallies. Nothing here is shared
-  // mutably across workers — contention lives inside the database.
+  // One op loop per worker: own distribution object, own RNG stream, own
+  // pool shard, own tallies. Nothing here is shared mutably across
+  // workers — contention lives inside the database.
   const auto worker = [&](std::size_t w) {
     std::discrete_distribution<std::size_t> pick(weights.begin(),
                                                  weights.end());

@@ -203,143 +203,37 @@ class Pager {
   /// the pool (shrink, or disable's flush) are charged as page writes.
   void EnableBuffer(std::size_t capacity_pages) EXCLUDES(mu_);
 
-  // Note* route each page touch to the calling thread's innermost open
-  // frame when one exists: excluded scopes absorb the touch (measured, not
-  // charged, buffer bypassed), counting scopes accumulate it lock-free and
-  // defer the global-stats fold to frame close. With the buffer pool on,
-  // the touch goes through the pool's sharded latches first and the
-  // resulting charge (hit, read, or write-backs) is deferred the same way
-  // — mu_ is never taken per touch on a framed path. Unframed touches
-  // (the concurrent smoke tests, ad-hoc tooling) take the locked path
-  // directly, so the global stats stay exact without any frame protocol.
+  // Every Note*/Pin* call is one Touch (below) with its I/O direction and
+  // pool treatment fixed at compile time.
 
   void NoteRead(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {  // excluded scope: measured, not charged
-        ++sink->local.reads;
-        return;
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.reads;
-        ++f->deferred.reads;
-        return;
-      }
-      BufferedRead(page, f);
-      return;
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      BufferedRead(page, nullptr);
-      return;
-    }
-    MutexLock lock(&mu_);
-    ++stats_.reads;
+    Touch<Io::kRead, PoolUse::kTouch>(page, 1);
   }
   void NoteWrite(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        ++sink->local.writes;
-        return;
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.writes;
-        ++f->deferred.writes;
-        return;
-      }
-      BufferedWrite(page, f);
-      return;
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      BufferedWrite(page, nullptr);
-      return;
-    }
-    MutexLock lock(&mu_);
-    ++stats_.writes;
+    Touch<Io::kWrite, PoolUse::kTouch>(page, 1);
   }
 
   /// As NoteRead, additionally pinning the page's frame for the returned
   /// guard's lifetime (empty guard when nothing was admitted — pool off,
   /// excluded scope, or every frame pinned).
   PageGuard PinRead(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        ++sink->local.reads;
-        return PageGuard();
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.reads;
-        ++f->deferred.reads;
-        return PageGuard();
-      }
-      return BufferedRead(page, f, /*pin=*/true) ? PageGuard(this, page)
-                                                 : PageGuard();
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      return BufferedRead(page, nullptr, /*pin=*/true) ? PageGuard(this, page)
-                                                       : PageGuard();
-    }
-    MutexLock lock(&mu_);
-    ++stats_.reads;
-    return PageGuard();
+    return Touch<Io::kRead, PoolUse::kPin>(page, 1) ? PageGuard(this, page)
+                                                    : PageGuard();
   }
   /// As NoteWrite, with the PinRead pin contract.
   PageGuard PinWrite(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        ++sink->local.writes;
-        return PageGuard();
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.writes;
-        ++f->deferred.writes;
-        return PageGuard();
-      }
-      return BufferedWrite(page, f, /*pin=*/true) ? PageGuard(this, page)
-                                                  : PageGuard();
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      return BufferedWrite(page, nullptr, /*pin=*/true)
-                 ? PageGuard(this, page)
-                 : PageGuard();
-    }
-    MutexLock lock(&mu_);
-    ++stats_.writes;
-    return PageGuard();
+    return Touch<Io::kWrite, PoolUse::kPin>(page, 1) ? PageGuard(this, page)
+                                                     : PageGuard();
   }
 
   /// Convenience for counting n sequential page reads (scans / chains).
   /// Bulk traffic always bypasses the buffer pool.
   void NoteReads(std::uint64_t n) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        sink->local.reads += n;
-        return;
-      }
-      f->local.reads += n;
-      f->deferred.reads += n;
-      return;
-    }
-    MutexLock lock(&mu_);
-    stats_.reads += n;
+    Touch<Io::kRead, PoolUse::kBypass>(kInvalidPage, n);
   }
   /// Convenience for counting n sequential page writes (bulk write-out).
   void NoteWrites(std::uint64_t n) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        sink->local.writes += n;
-        return;
-      }
-      f->local.writes += n;
-      f->deferred.writes += n;
-      return;
-    }
-    MutexLock lock(&mu_);
-    stats_.writes += n;
+    Touch<Io::kWrite, PoolUse::kBypass>(kInvalidPage, n);
   }
 
   /// Snapshot of the global counters (consistent across the three fields).
@@ -390,12 +284,58 @@ class Pager {
   friend class ScopedAccessProbe;
   friend class PageGuard;
 
+  enum class Io { kRead, kWrite };
+  /// How a touch meets the buffer pool: an ordinary touch, a touch that
+  /// also pins the frame, or bulk traffic that never enters the pool.
+  enum class PoolUse { kTouch, kPin, kBypass };
+
+  /// The one routing of \p n touches (n > 1 only for kBypass) to the
+  /// calling thread's innermost open frame when one exists: excluded
+  /// scopes absorb the touch (measured, not charged, buffer bypassed),
+  /// counting scopes accumulate it lock-free and defer the global-stats
+  /// fold to frame close. With the buffer pool on, a pooled touch goes
+  /// through the pool's sharded latches first and the resulting charge
+  /// (hit, read, or write-backs) is deferred the same way — mu_ is never
+  /// taken per touch on a framed path. Unframed touches (the concurrent
+  /// smoke tests, ad-hoc tooling) take the locked path directly, so the
+  /// global stats stay exact without any frame protocol. Returns true when
+  /// the page is resident and pinned after a kPin touch. Inline: this is
+  /// the hot path of every operation.
+  template <Io kIo, PoolUse kPool>
+  bool Touch(PageId page, std::uint64_t n) EXCLUDES(mu_) {
+    constexpr std::uint64_t AccessStats::*kCount =
+        kIo == Io::kRead ? &AccessStats::reads : &AccessStats::writes;
+    constexpr bool kPooled = kPool != PoolUse::kBypass;
+    constexpr bool kPinned = kPool == PoolUse::kPin;
+    if (AccessFrame* f = internal::FrameFor(this)) {
+      AccessFrame* sink = f->exclude ? f : f->redirect;
+      if (sink != nullptr) {  // excluded scope: measured, not charged
+        sink->local.*kCount += n;
+        return false;
+      }
+      if (!kPooled || !buffered_.load(std::memory_order_relaxed)) {
+        f->local.*kCount += n;
+        f->deferred.*kCount += n;
+        return false;
+      }
+      return kIo == Io::kRead ? BufferedRead(page, f, kPinned)
+                              : BufferedWrite(page, f, kPinned);
+    }
+    if (kPooled && buffered_.load(std::memory_order_relaxed)) {
+      return kIo == Io::kRead ? BufferedRead(page, nullptr, kPinned)
+                              : BufferedWrite(page, nullptr, kPinned);
+    }
+    MutexLock lock(&mu_);
+    stats_.*kCount += n;
+    return false;
+  }
+
   /// Buffered touch + charge: routes \p page through the pool (its sharded
   /// latches only — never mu_ on a framed path) and books the outcome
   /// (hit / read / write-backs) on frame \p f, or on the global stats when
   /// \p f is null. Returns true when the page is resident-and-pinned
-  /// (\p pin) after the touch. Out of line: the unbuffered fast path above
-  /// stays small enough to inline.
+  /// (\p pin) after the touch. Out of line: the unbuffered fast path of
+  /// Touch stays small enough to inline.
   bool BufferedRead(PageId page, AccessFrame* f, bool pin = false)
       EXCLUDES(mu_);
   bool BufferedWrite(PageId page, AccessFrame* f, bool pin = false)
@@ -423,7 +363,7 @@ class Pager {
   std::array<AccessStats, kPageOpKindCount> kind_tallies_ GUARDED_BY(mu_){};
   std::map<std::string, AccessStats> label_tallies_ GUARDED_BY(mu_);
 
-  /// Mirrors pool capacity > 0 so Note*/Pin* pick the lock-free cold path
+  /// Mirrors pool capacity > 0 so Touch picks the lock-free cold path
   /// without taking any lock first.
   std::atomic<bool> buffered_{false};
   /// The pool synchronizes itself (sharded latches, leaves like mu_; the

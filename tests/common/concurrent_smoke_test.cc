@@ -229,8 +229,8 @@ TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
           break;
       }
       if (i % 64 == 0) {
-        (void)monitor.EstimatedLoad();
-        (void)monitor.MeasuredNaiveQueryPagesPerOp();
+        (void)monitor.EstimatedLoadFor("", {static_cast<ClassId>(t)});
+        (void)monitor.MeasuredNaiveQueryPagesPerOp("");
       }
     }
   });

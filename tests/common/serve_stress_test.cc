@@ -19,6 +19,7 @@
 
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
+#include "online/joint_experiment.h"
 #include "serve/serve_driver.h"
 
 namespace pathix {
@@ -168,11 +169,7 @@ mix Submission 0.04 0.58 0.38
   ServeDriver driver(&db, s, ServeOptions{kWorkers});
   driver.Populate();
 
-  ControllerOptions copts;
-  copts.orgs = s.options.orgs;
-  copts.physical_params = s.catalog.params();
-  ReconfigurationController controller(&db, s.paths.front().path, copts,
-                                       s.paths.front().id);
+  JointReconfigurationController controller(&db, TraceControllerOptions(s));
   db.SetObserver(&controller);
 
   std::uint64_t epoch_swaps = 0;
@@ -234,11 +231,7 @@ mix Submission 0.04 0.58 0.38
   // write back dirty slot pages) while all four workers are serving.
   db.pager().EnableBuffer(8);
 
-  ControllerOptions copts;
-  copts.orgs = s.options.orgs;
-  copts.physical_params = s.catalog.params();
-  ReconfigurationController controller(&db, s.paths.front().path, copts,
-                                       s.paths.front().id);
+  JointReconfigurationController controller(&db, TraceControllerOptions(s));
   db.SetObserver(&controller);
 
   for (std::size_t i = 0; i < s.phases.size(); ++i) {

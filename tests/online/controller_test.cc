@@ -1,11 +1,12 @@
-// ReconfigurationController + transition cost + physical part reuse.
+// The online controller on one path + transition cost + physical part
+// reuse.
 
 #include <gtest/gtest.h>
 
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
 #include "exec/analyze.h"
-#include "online/controller.h"
+#include "online/joint_controller.h"
 #include "online/transition_cost.h"
 
 namespace pathix {
@@ -136,7 +137,7 @@ TEST(ControllerTest, InstallsAfterWarmupAndReportsTheEvent) {
   ControllerOptions options;
   options.warmup_ops = 50;
   options.check_interval_ops = 50;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
 
   for (int i = 0; i < 50; ++i) {
@@ -157,10 +158,10 @@ TEST(ControllerTest, InstallsAfterWarmupAndReportsTheEvent) {
 
 TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
   // The installed configuration uses an organization outside the
-  // controller's candidate set ({MX, MIX, NIX} by default); the selector
-  // must price it from the model — not a wrong matrix column — and the
-  // controller must then switch away under a query-heavy stream, for which
-  // "no index" is by far the worst choice.
+  // controller's candidate set ({MX, MIX, NIX} by default); the controller
+  // must price it from the model — not a missing pool entry — and then
+  // switch away under a query-heavy stream, for which "no index" is by far
+  // the worst choice.
   Instance inst;
   CheckOk(inst.db.ConfigureIndexes(
       inst.setup.path,
@@ -168,7 +169,7 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
   ControllerOptions options;
   options.warmup_ops = 50;
   options.check_interval_ops = 50;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
   for (int i = 0; i < 300; ++i) {
     CheckOk(inst.db.Query(Key::FromString(EndingValue(i % kDistinct)),
@@ -189,7 +190,7 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
 TEST(ControllerTest, ScopedAnalyzeRecollectsOnlyDriftedClasses) {
   Instance inst;
   inst.db.SetQueryPath(inst.setup.path);
-  ReconfigurationController controller(&inst.db, inst.setup.path);
+  JointReconfigurationController controller(&inst.db);
 
   // First check: the initial collection covers all six scope classes
   // (Person, Vehicle, Bus, Truck, Company, Division).
@@ -228,7 +229,7 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
     if (reluctant) {
       options.hysteresis = 1e18;  // nothing can ever pay for itself
     }
-    ReconfigurationController controller(&inst.db, inst.setup.path, options);
+    JointReconfigurationController controller(&inst.db, options);
     inst.db.SetObserver(&controller);
 
     for (int i = 0; i < 400; ++i) {
@@ -244,7 +245,7 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
 
     CheckOk(controller.status());
     std::size_t switches = 0;
-    for (const ReconfigurationEvent& ev : controller.events()) {
+    for (const JointReconfigurationEvent& ev : controller.events()) {
       if (!ev.initial) ++switches;
     }
     if (reluctant) {

@@ -1,10 +1,11 @@
-// Satellite acceptance: on a stationary trace the online selector converges
-// to exactly the configuration the offline advisor picks for the true
-// loads, and never reconfigures again (no thrashing).
+// On a stationary single-path trace the online controller converges to
+// exactly the configuration the paper's offline optimizer (SelectDP) picks
+// for the true loads, and never reconfigures again (no thrashing).
 
 #include <gtest/gtest.h>
 
-#include "online/experiment.h"
+#include "online/joint_experiment.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 namespace {
@@ -48,16 +49,14 @@ TEST(ConvergenceTest, StationaryTraceConvergesToOfflinePickAndNeverThrashes) {
   const Path& path = spec.paths[0].path;
 
   SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);  // registers the path under its id
-  replayer.Populate();
+  ServeDriver driver(&db, spec, ServeOptions{1});  // registers the path
+  driver.Populate();
 
-  ControllerOptions options;
-  options.orgs = spec.options.orgs;
-  options.physical_params = spec.catalog.params();
-  ReconfigurationController controller(&db, path, options, spec.paths[0].id);
+  const ControllerOptions options = TraceControllerOptions(spec);
+  JointReconfigurationController controller(&db, options);
   db.SetObserver(&controller);
   for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    replayer.RunPhase(i, &controller);
+    driver.RunPhase(i, &controller);
   }
   db.SetObserver(nullptr);
   CheckOk(controller.status());

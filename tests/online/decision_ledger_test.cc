@@ -1,5 +1,5 @@
-// The decision ledger (tentpole of this PR): every drift check of either
-// controller lands exactly one DecisionRecord — workload snapshot, scored
+// The decision ledger: every drift check of the controller lands exactly
+// one DecisionRecord — workload snapshot, scored
 // candidates with why-not margins, the hysteresis inequality (modeled and,
 // after a commit, measured) and the verdict. The serialized form must
 // round-trip through the project's own JSON reader with every schema key
@@ -14,6 +14,7 @@
 #include "obs/json_reader.h"
 #include "online/decision_record.h"
 #include "online/joint_experiment.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 namespace {
@@ -26,17 +27,16 @@ TraceSpec LoadDriftSpec() {
   return std::move(parsed).value();
 }
 
-/// Invariants common to both controllers' ledgers.
+/// Invariants of every ledger.
 void CheckLedger(const std::vector<DecisionRecord>& decisions,
-                 std::uint64_t checks, std::uint64_t committed_events,
-                 const std::string& controller_label) {
+                 std::uint64_t checks, std::uint64_t committed_events) {
   // One record per drift check, numbered 1..N in op order.
   ASSERT_EQ(decisions.size(), checks);
   std::uint64_t commit_verdicts = 0;
   for (std::size_t i = 0; i < decisions.size(); ++i) {
     const DecisionRecord& rec = decisions[i];
     EXPECT_EQ(rec.check_number, i + 1);
-    EXPECT_EQ(rec.controller, controller_label);
+    EXPECT_EQ(rec.controller, "joint");
     if (i > 0) {
       EXPECT_GE(rec.op_index, decisions[i - 1].op_index);
     }
@@ -80,7 +80,7 @@ void CheckLedger(const std::vector<DecisionRecord>& decisions,
       EXPECT_TRUE(rec.candidates.front().chosen);
       for (std::size_t c = 1; c < rec.candidates.size(); ++c) {
         const DecisionCandidate& cand = rec.candidates[c];
-        if (cand.chosen) continue;  // joint: several chosen per-path rows
+        if (cand.chosen) continue;  // one chosen row per path
         EXPECT_FALSE(cand.why_not.empty());
         EXPECT_GE(cand.cost_delta, 0) << "alternatives cannot beat the "
                                          "optimum";
@@ -132,117 +132,78 @@ void CheckSerializedRoundTrip(const std::vector<DecisionRecord>& decisions) {
   EXPECT_EQ(line_no, decisions.size());
 }
 
-TEST(DecisionLedgerTest, SingleControllerLedgersEveryCheck) {
-  const TraceSpec spec = LoadDriftSpec();
-  ASSERT_EQ(spec.paths.size(), 1u);
-  ControllerOptions options;
-  options.orgs = spec.options.orgs;
-  options.physical_params = spec.catalog.params();
-
-  SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
-  ReconfigurationController controller(&db, spec.paths[0].path, options,
-                                       spec.paths[0].id);
-  db.SetObserver(&controller);
+/// Serves every phase of \p spec through ServeDriver{1} with \p controller
+/// attached; returns the per-phase ledger slices, concatenated.
+std::vector<DecisionRecord> ServeAll(SimDatabase* db, ServeDriver* driver,
+                                     const TraceSpec& spec,
+                                     JointReconfigurationController* controller) {
+  db->SetObserver(controller);
   std::vector<DecisionRecord> phase_sliced;
   for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    const PhaseReport report = replayer.RunPhase(i, &controller);
-    // The replayer's phase slice is the same records, phase-stamped.
+    const PhaseReport report = driver->RunPhase(i, controller).phase;
+    // The driver's phase slice is the same records, phase-stamped.
     for (const DecisionRecord& rec : report.decisions) {
       EXPECT_EQ(rec.phase, report.name);
       phase_sliced.push_back(rec);
     }
   }
-  db.SetObserver(nullptr);
-  CheckOk(controller.status());
+  db->SetObserver(nullptr);
+  CheckOk(controller->status());
+  return phase_sliced;
+}
+
+TEST(DecisionLedgerTest, ControllerLedgersEveryCheck) {
+  const TraceSpec spec = LoadDriftSpec();
+  SimDatabase db(spec.schema, spec.catalog.params());
+  ServeDriver driver(&db, spec, ServeOptions{1});
+  driver.Populate();
+  JointReconfigurationController controller(&db, TraceControllerOptions(spec));
+  const std::vector<DecisionRecord> phase_sliced =
+      ServeAll(&db, &driver, spec, &controller);
 
   CheckLedger(controller.decisions(), controller.checks_run(),
-              controller.events_committed(), "single");
+              controller.events_committed());
   EXPECT_GT(controller.events_committed(), 0u);
   ASSERT_EQ(phase_sliced.size(), controller.decisions().size());
   CheckSerializedRoundTrip(phase_sliced);
 
-  // The search-effort counters fed at each drift check.
-  const obs::MetricsSnapshot m = db.metrics().Snapshot();
-  EXPECT_GT(m.Value("pathix_advisor_nodes_explored_total",
-                    {{"controller", "single"}}),
-            0);
-  const obs::MetricSample* resolve = m.Find(
-      "pathix_advisor_resolve_duration_us", {{"controller", "single"}});
-  ASSERT_NE(resolve, nullptr);
-  EXPECT_EQ(resolve->histogram.count, controller.checks_run() -
-                                          /* no_traffic/pre-solve holds */
-                                          [&] {
-                                            std::uint64_t held = 0;
-                                            for (const DecisionRecord& r :
-                                                 controller.decisions()) {
-                                              if (r.hold_reason ==
-                                                      "no_traffic" ||
-                                                  r.hold_reason == "error") {
-                                                ++held;
-                                              }
-                                            }
-                                            return held;
-                                          }());
-}
-
-TEST(DecisionLedgerTest, JointControllerLedgersEveryCheck) {
-  const TraceSpec spec = LoadDriftSpec();
-  ControllerOptions options;
-  options.orgs = spec.options.orgs;
-  options.physical_params = spec.catalog.params();
-
-  SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
-  JointReconfigurationController controller(&db, options);
-  db.SetObserver(&controller);
-  for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    replayer.RunPhase(i, &controller);
-  }
-  db.SetObserver(nullptr);
-  CheckOk(controller.status());
-
-  CheckLedger(controller.decisions(), controller.checks_run(),
-              controller.events_committed(), "joint");
-  EXPECT_GT(controller.events_committed(), 0u);
-  CheckSerializedRoundTrip(controller.decisions());
-
-  // Joint search stats: the B&B/exhaustive effort and the admissible bound
-  // land in every solved record.
-  bool saw_solved = false;
+  // Search stats: the B&B/exhaustive effort and the admissible bound land
+  // in every solved record.
+  std::uint64_t solved = 0;
   for (const DecisionRecord& rec : controller.decisions()) {
     if (rec.hold_reason == "no_traffic" || rec.hold_reason == "error") {
       continue;
     }
-    saw_solved = true;
+    ++solved;
     EXPECT_GT(rec.search.pool_entries, 0);
     EXPECT_GT(rec.search.configs_enumerated, 0);
     EXPECT_GT(rec.search.nodes_explored, 0);
     EXPECT_GE(rec.search.bound_gap, -1e-9);
   }
-  EXPECT_TRUE(saw_solved);
+  EXPECT_GT(solved, 0u);
+
+  // The search-effort counters fed at each drift check: one re-solve
+  // duration per solved check.
+  const obs::MetricsSnapshot m = db.metrics().Snapshot();
+  EXPECT_GT(m.Value("pathix_advisor_nodes_explored_total",
+                    {{"controller", "joint"}}),
+            0);
+  const obs::MetricSample* resolve = m.Find(
+      "pathix_advisor_resolve_duration_us", {{"controller", "joint"}});
+  ASSERT_NE(resolve, nullptr);
+  EXPECT_EQ(resolve->histogram.count, solved);
 }
 
 TEST(DecisionLedgerTest, LedgerRingBufferBoundsRetention) {
   const TraceSpec spec = LoadDriftSpec();
-  ControllerOptions options;
-  options.orgs = spec.options.orgs;
-  options.physical_params = spec.catalog.params();
+  ControllerOptions options = TraceControllerOptions(spec);
   options.max_decision_log = 3;
 
   SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
-  ReconfigurationController controller(&db, spec.paths[0].path, options,
-                                       spec.paths[0].id);
-  db.SetObserver(&controller);
-  for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    replayer.RunPhase(i, &controller);
-  }
-  db.SetObserver(nullptr);
-  CheckOk(controller.status());
+  ServeDriver driver(&db, spec, ServeOptions{1});
+  driver.Populate();
+  JointReconfigurationController controller(&db, options);
+  ServeAll(&db, &driver, spec, &controller);
 
   ASSERT_GT(controller.checks_run(), 3u);
   EXPECT_EQ(controller.decisions().size(), 3u);
@@ -255,27 +216,21 @@ TEST(DecisionLedgerTest, LedgerRingBufferBoundsRetention) {
 
 TEST(DecisionLedgerTest, TopKZeroKeepsRecordsButSkipsAlternatives) {
   const TraceSpec spec = LoadDriftSpec();
-  ControllerOptions options;
-  options.orgs = spec.options.orgs;
-  options.physical_params = spec.catalog.params();
+  ASSERT_EQ(spec.paths.size(), 1u);
+  ControllerOptions options = TraceControllerOptions(spec);
   options.decision_top_k = 0;
 
   SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
-  ReconfigurationController controller(&db, spec.paths[0].path, options,
-                                       spec.paths[0].id);
-  db.SetObserver(&controller);
-  for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    replayer.RunPhase(i, &controller);
-  }
-  db.SetObserver(nullptr);
-  CheckOk(controller.status());
+  ServeDriver driver(&db, spec, ServeOptions{1});
+  driver.Populate();
+  JointReconfigurationController controller(&db, options);
+  ServeAll(&db, &driver, spec, &controller);
 
   EXPECT_EQ(controller.decisions().size(), controller.checks_run());
   for (const DecisionRecord& rec : controller.decisions()) {
     if (rec.hold_reason == "no_traffic") continue;
-    // The chosen candidate is always recorded; top-K alternatives are off.
+    // The chosen candidate (one path: one row) is always recorded; top-K
+    // alternatives are off.
     ASSERT_EQ(rec.candidates.size(), 1u);
     EXPECT_TRUE(rec.candidates.front().chosen);
   }

@@ -1,13 +1,13 @@
-// BoundedEventLog: the controllers' event-log ring buffer. The bound caps
+// BoundedEventLog: the controller's event-log ring buffer. The bound caps
 // retained memory on long runs; committed() keeps the all-time count the
-// replayer and metrics mirror rely on, eviction-proof.
+// phase driver and metrics mirror rely on, eviction-proof.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "online/controller.h"
+#include "online/joint_controller.h"
 
 namespace pathix {
 namespace {

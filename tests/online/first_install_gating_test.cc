@@ -1,13 +1,11 @@
 // Satellite regression: the first install on an unconfigured path is gated
 // by the *priced* status quo — the measured naive-scan pages per operation —
-// instead of firing unconditionally on the first drift check (the PR 4
-// follow-up this PR closes). Both controllers must gate identically.
+// instead of firing unconditionally on the first drift check.
 
 #include <gtest/gtest.h>
 
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
-#include "online/controller.h"
 #include "online/joint_controller.h"
 
 namespace pathix {
@@ -56,7 +54,7 @@ TEST(FirstInstallGatingTest, ReluctantControllerNeverInstalls) {
   inst.db.SetQueryPath(inst.setup.path);
   ControllerOptions options = FastOptions();
   options.hysteresis = 1e18;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
   inst.RunNaiveQueries(300);
   inst.db.SetObserver(nullptr);
@@ -74,7 +72,7 @@ TEST(FirstInstallGatingTest, TinyHorizonCannotAmortizeTheBuild) {
   inst.db.SetQueryPath(inst.setup.path);
   ControllerOptions options = FastOptions();
   options.horizon_ops = 1;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
   inst.RunNaiveQueries(300);
   inst.db.SetObserver(nullptr);
@@ -90,8 +88,7 @@ TEST(FirstInstallGatingTest, UpdateOnlyStreamHasNothingToSave) {
   // write-only stream (before the fix, the first check installed one).
   Instance inst;
   inst.db.SetQueryPath(inst.setup.path);
-  ReconfigurationController controller(&inst.db, inst.setup.path,
-                                       FastOptions());
+  JointReconfigurationController controller(&inst.db, FastOptions());
   inst.db.SetObserver(&controller);
   for (int i = 0; i < 300; ++i) inst.db.Insert(inst.setup.person, {});
   inst.db.SetObserver(nullptr);
@@ -108,15 +105,14 @@ TEST(FirstInstallGatingTest, JustifiedInstallCarriesThePricedStatusQuo) {
   // was gated against (positive savings) plus the measured transition.
   Instance inst;
   inst.db.SetQueryPath(inst.setup.path);
-  ReconfigurationController controller(&inst.db, inst.setup.path,
-                                       FastOptions());
+  JointReconfigurationController controller(&inst.db, FastOptions());
   inst.db.SetObserver(&controller);
   inst.RunNaiveQueries(60);
   inst.db.SetObserver(nullptr);
 
   CheckOk(controller.status());
   ASSERT_EQ(controller.events().size(), 1u);
-  const ReconfigurationEvent& ev = controller.events()[0];
+  const JointReconfigurationEvent& ev = controller.events()[0];
   EXPECT_TRUE(ev.initial);
   EXPECT_GT(ev.predicted_savings_per_op, 0.0);
   // Measured transition: no drops on a first install, and the registry's
@@ -127,37 +123,6 @@ TEST(FirstInstallGatingTest, JustifiedInstallCarriesThePricedStatusQuo) {
             inst.db.registry().cumulative_build_io().total());
   EXPECT_GT(controller.measured_transition_pages_charged(), 0.0);
   EXPECT_TRUE(inst.db.has_indexes());
-}
-
-TEST(FirstInstallGatingTest, JointControllerGatesIdentically) {
-  for (const bool reluctant : {true, false}) {
-    Instance inst;
-    CheckOk(inst.db.RegisterPath("people", inst.setup.path));
-    ControllerOptions options = FastOptions();
-    if (reluctant) options.hysteresis = 1e18;
-    JointReconfigurationController controller(&inst.db, options);
-    inst.db.SetObserver(&controller);
-    for (int i = 0; i < 300; ++i) {
-      CheckOk(inst.db
-                  .QueryNaive("people",
-                              Key::FromString(EndingValue(i % kDistinct)),
-                              inst.setup.person)
-                  .status());
-    }
-    inst.db.SetObserver(nullptr);
-
-    CheckOk(controller.status());
-    EXPECT_GT(controller.checks_run(), 0u);
-    if (reluctant) {
-      EXPECT_TRUE(controller.events().empty());
-      EXPECT_FALSE(inst.db.has_indexes("people"));
-    } else {
-      ASSERT_FALSE(controller.events().empty());
-      EXPECT_TRUE(controller.events()[0].initial);
-      EXPECT_GT(controller.events()[0].predicted_savings_per_op, 0.0);
-      EXPECT_TRUE(inst.db.has_indexes("people"));
-    }
-  }
 }
 
 }  // namespace

@@ -1,121 +1,18 @@
-// Satellite determinism guard: replaying the same .pix trace twice produces
-// byte-identical event logs, AccessStats and *decision ledgers* — including
-// the scoped tallies and the ledger's workload snapshots, which must not
-// leak unordered-container iteration order (or wall-clock values) into
-// anything observable (the probe plumbing runs on every operation; the
-// ledger is captured at every drift check). The serving engine rides the
-// same pin: ServeDriver with --threads=1 is the replayer's exact op
-// sequence, so its run must reproduce the identical bytes.
+// Determinism guard: serving the same .pix trace twice from one worker
+// thread produces byte-identical event logs, AccessStats and *decision
+// ledgers* — including the scoped tallies and the ledger's workload
+// snapshots, which must not leak unordered-container iteration order (or
+// wall-clock values) into anything observable (the probe plumbing runs on
+// every operation; the ledger is captured at every drift check).
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 
-#include "obs/decision_log.h"
-#include "online/decision_record.h"
-#include "online/joint_experiment.h"
-#include "serve/serve_driver.h"
+#include "log_run.h"
 
 namespace pathix {
 namespace {
-
-std::string Fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string Fmt(const AccessStats& s) {
-  return std::to_string(s.reads) + "r/" + std::to_string(s.writes) + "w/" +
-         std::to_string(s.buffer_hits) + "h";
-}
-
-std::string Fmt(const TransitionCost& t) {
-  return Fmt(t.drop_pages) + "+" + Fmt(t.scan_pages) + "+" +
-         Fmt(t.write_pages);
-}
-
-/// One run of the shipped joint trace: online controller only (the costly
-/// baselines add nothing to a determinism check). \p run_phase executes
-/// phase i against the attached controller and returns its PhaseReport —
-/// the replayer and the single-threaded serve driver plug in here.
-/// Returns the serialized event log plus every pager counter.
-template <typename RunPhaseFn>
-std::string LogRun(SimDatabase& db, const TraceSpec& spec,
-                   RunPhaseFn&& run_phase) {
-  ControllerOptions options;
-  options.orgs = spec.options.orgs;
-  options.physical_params = spec.catalog.params();
-  options.storage_budget_bytes = spec.storage_budget_bytes;
-  JointReconfigurationController controller(&db, options);
-  db.SetObserver(&controller);
-  std::string log;
-  for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    const PhaseReport report = run_phase(i, &controller);
-    log += "phase " + report.name + " ops " + std::to_string(report.ops) +
-           " pages " + std::to_string(report.pages) + " transition " +
-           Fmt(report.transition_pages) + " measured " +
-           Fmt(report.measured_transition_pages) + "\n";
-  }
-  db.SetObserver(nullptr);
-  CheckOk(controller.status());
-
-  for (const JointReconfigurationEvent& ev : controller.events()) {
-    log += "event op " + std::to_string(ev.op_index) +
-           (ev.initial ? " install" : " switch") + " savings " +
-           Fmt(ev.predicted_savings_per_op) + " transition " +
-           Fmt(ev.transition) + " measured " + Fmt(ev.measured) + "\n";
-    for (const JointReconfigurationEvent::PathChange& change : ev.changes) {
-      log += "  " + change.path + " -> " + change.to.ToString() + "\n";
-    }
-  }
-
-  // The serialized decision ledger rides in the same byte-equality pin: a
-  // DecisionRecord holds no wall-clock values (determinism contract of
-  // online/decision_record.h), so its JSON must reproduce exactly.
-  obs::DecisionLog ledger;
-  for (const DecisionRecord& rec : controller.decisions()) {
-    WriteDecisionRecord(&ledger, rec);
-  }
-  log += "decisions " + std::to_string(controller.decisions_committed()) +
-         "\n" + ledger.str();
-
-  log += "stats " + Fmt(db.pager().stats()) + "\n";
-  log += "build " + Fmt(db.registry().cumulative_build_io()) + "\n";
-  for (std::size_t k = 0; k < kPageOpKindCount; ++k) {
-    log += std::string("tally ") + ToString(static_cast<PageOpKind>(k)) +
-           " " + Fmt(db.pager().tally(static_cast<PageOpKind>(k))) + "\n";
-  }
-  for (const auto& [label, tally] : db.pager().label_tallies()) {
-    log += "tally path " + label + " " + Fmt(tally) + "\n";
-  }
-  return log;
-}
-
-std::string ReplayOnce(const TraceSpec& spec) {
-  SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
-  return LogRun(db, spec,
-                [&](std::size_t i, JointReconfigurationController* c) {
-                  return replayer.RunPhase(i, c);
-                });
-}
-
-/// The serving engine on one worker thread: per the determinism contract
-/// (serve/serve_driver.h), worker 0's RNG is the replayer's stream and the
-/// single shard is the replayer's pool, so this must reproduce ReplayOnce
-/// byte for byte.
-std::string ServeOnce(const TraceSpec& spec, int threads) {
-  SimDatabase db(spec.schema, spec.catalog.params());
-  ServeDriver driver(&db, spec, ServeOptions{threads});
-  driver.Populate();
-  return LogRun(db, spec,
-                [&](std::size_t i, JointReconfigurationController* c) {
-                  return driver.RunPhase(i, c).phase;
-                });
-}
 
 TEST(ReplayDeterminismTest, SameTraceTwiceIsByteIdentical) {
   Result<TraceSpec> parsed = ParseTraceSpecFile(
@@ -125,8 +22,8 @@ TEST(ReplayDeterminismTest, SameTraceTwiceIsByteIdentical) {
   const TraceSpec& spec = parsed.value();
   ASSERT_GT(spec.paths.size(), 1u);  // the multi-path replay path
 
-  const std::string first = ReplayOnce(spec);
-  const std::string second = ReplayOnce(spec);
+  const std::string first = LogRun(spec);
+  const std::string second = LogRun(spec);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 
@@ -136,21 +33,7 @@ TEST(ReplayDeterminismTest, SameTraceTwiceIsByteIdentical) {
       std::string(PATHIX_SOURCE_DIR) +
       "/examples/specs/vehicle_joint_trace.pix");
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(first, ReplayOnce(reparsed.value()));
-}
-
-TEST(ReplayDeterminismTest, SingleThreadedServeDriverMatchesReplayer) {
-  Result<TraceSpec> parsed = ParseTraceSpecFile(
-      std::string(PATHIX_SOURCE_DIR) +
-      "/examples/specs/vehicle_joint_trace.pix");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const TraceSpec& spec = parsed.value();
-
-  // Event log, decision ledger, every pager counter: identical bytes.
-  const std::string replayed = ReplayOnce(spec);
-  const std::string served = ServeOnce(spec, /*threads=*/1);
-  EXPECT_FALSE(replayed.empty());
-  EXPECT_EQ(replayed, served);
+  EXPECT_EQ(first, LogRun(reparsed.value()));
 }
 
 }  // namespace

@@ -10,11 +10,17 @@ namespace {
 constexpr ClassId kA = 0;
 constexpr ClassId kB = 1;
 
+/// The estimate of the anonymous path Observe(kind, cls) records queries
+/// on, over both classes — every observation these tests make.
+LoadDistribution Estimate(const WorkloadMonitor& monitor) {
+  return monitor.EstimatedLoadFor("", {kA, kB});
+}
+
 TEST(WorkloadMonitorTest, EmptyMonitorEstimatesZero) {
   WorkloadMonitor monitor;
   EXPECT_EQ(monitor.ops_observed(), 0u);
   EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 0.0);
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = Estimate(monitor);
   EXPECT_DOUBLE_EQ(load.Get(kA).query, 0.0);
 }
 
@@ -26,7 +32,7 @@ TEST(WorkloadMonitorTest, StationaryStreamConvergesToMixProportions) {
     for (int i = 0; i < 3; ++i) monitor.Observe(DbOpKind::kInsert, kB);
     monitor.Observe(DbOpKind::kDelete, kB);
   }
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = Estimate(monitor);
   EXPECT_NEAR(load.Get(kA).query, 0.6, 0.05);
   EXPECT_NEAR(load.Get(kB).insert, 0.3, 0.05);
   EXPECT_NEAR(load.Get(kB).del, 0.1, 0.05);
@@ -41,7 +47,7 @@ TEST(WorkloadMonitorTest, PhaseShiftForgetsOldTrafficWithinHalfLives) {
   for (int i = 0; i < 1000; ++i) monitor.Observe(DbOpKind::kQuery, kA);
   // Shift: pure B-inserts. After 10 half-lives the A weight is ~2^-10.
   for (int i = 0; i < 320; ++i) monitor.Observe(DbOpKind::kInsert, kB);
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = Estimate(monitor);
   EXPECT_GT(load.Get(kB).insert, 0.97);
   EXPECT_LT(load.Get(kA).query, 0.03);
 }
@@ -51,7 +57,7 @@ TEST(WorkloadMonitorTest, NoDecayCountsPlainly) {
   for (int i = 0; i < 30; ++i) monitor.Observe(DbOpKind::kQuery, kA);
   for (int i = 0; i < 10; ++i) monitor.Observe(DbOpKind::kInsert, kB);
   EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 40.0);
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = Estimate(monitor);
   EXPECT_DOUBLE_EQ(load.Get(kA).query, 0.75);
   EXPECT_DOUBLE_EQ(load.Get(kB).insert, 0.25);
 }
@@ -62,7 +68,7 @@ TEST(WorkloadMonitorTest, ResetClearsState) {
   monitor.Reset();
   EXPECT_EQ(monitor.ops_observed(), 0u);
   EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 0.0);
-  EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp(), 0.0);
+  EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp(""), 0.0);
 }
 
 TEST(WorkloadMonitorTest, PricesNaiveScanPagesPerOperation) {
@@ -75,7 +81,6 @@ TEST(WorkloadMonitorTest, PricesNaiveScanPagesPerOperation) {
   monitor.Observe({DbOpKind::kInsert, kB, {}, false, AccessStats{0, 1, 0}});
   EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp("p"), 50.0);
   EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp("q"), 0.0);
-  EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp(), 50.0);
 }
 
 TEST(WorkloadMonitorTest, NaivePagesDecayLikeTheCounts) {

@@ -146,7 +146,7 @@ TEST(ScopedAccessProbeNestingTest, AccessProbeSpansScopedFrames) {
 
 TEST(AccessProbeDeltaTest, DeltaPreservesBufferHits) {
   // Regression: Delta() used to hand-copy reads and writes and silently
-  // drop buffer_hits, so every replayer/serve-driver phase delta lost its
+  // drop buffer_hits, so every phase driver's delta lost its
   // hit counts whenever the buffer pool was on.
   Pager pager(4096);
   pager.EnableBuffer(2);
